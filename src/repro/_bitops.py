@@ -1,6 +1,6 @@
 """Vectorized bit-level primitives shared by the coding fast paths.
 
-Every trace-level fast path in :mod:`repro.coding` and the activity
+Every chunk kernel in :mod:`repro.coding` and the activity
 accounting in :mod:`repro.energy` reduces to the same two primitives on
 ``uint64`` arrays:
 

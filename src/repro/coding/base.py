@@ -10,9 +10,13 @@ lock step without side channels.  That symmetry is the correctness
 contract of every scheme here, and it is what the round-trip property
 tests in ``tests/`` check.
 
-The base class works on whole traces; subclasses implement the
-per-cycle :meth:`Transcoder.encode_value` / :meth:`Transcoder.decode_state`
-plus :meth:`Transcoder.reset`.
+Subclasses implement the per-cycle :meth:`Transcoder.encode_value` /
+:meth:`Transcoder.decode_state` plus :meth:`Transcoder.reset`.  A family
+with a vectorized kernel overrides exactly one more pair: the stateful
+chunk kernels ``_encode_chunk_fast``/``_decode_chunk_fast``, which
+advance the live FSM over an array of cycles.  Whole traces, streamed
+chunks and batches of streams all run through that pair, so a kernel
+serves every caller once written.
 """
 
 from __future__ import annotations
@@ -55,13 +59,42 @@ class Transcoder(ABC):
     def decode_state(self, state: int) -> int:
         """Decode one physical wire state; returns the recovered value."""
 
-    # -- trace-level API ------------------------------------------------
+    # -- the kernel contract --------------------------------------------
     #
-    # ``encode_trace``/``decode_trace`` are what experiments call;
-    # subclasses with a vectorized kernel override them.  The
-    # ``*_scalar`` variants always run the per-cycle FSM loop and act
-    # as the differential-testing oracle for every fast path (see
-    # tests/test_vectorized_kernels.py).
+    # Each family has ONE fast path: the stateful chunk kernel pair
+    # ``_encode_chunk_fast``/``_decode_chunk_fast``, which advances the
+    # *live* FSM over a 1-D array of cycles and leaves it exactly where
+    # the per-cycle loop would.  The base versions below ARE that loop,
+    # so a family without a vectorized kernel (the dictionary coders,
+    # the hardware audit) is correct by definition.  Every public
+    # entry point routes through the pair:
+    #
+    # * ``encode_trace``/``decode_trace``: width check + ``reset()`` +
+    #   kernel + ``BusTrace`` wrap (``coder.encodes``/``decodes`` metrics);
+    # * ``encode_chunk``/``decode_chunk``: no reset — successive calls
+    #   continue one stream (``coder.stream_*`` metrics);
+    # * ``encode_chunks_batch``/``decode_chunks_batch``: B live streams
+    #   at once; only families with a 2-D kernel override them.
+    #
+    # ``encode_trace_scalar``/``decode_trace_scalar`` always run the
+    # base loop and are the differential-testing oracle for every
+    # kernel (tests/test_vectorized_kernels.py).
+
+    def _encode_chunk_fast(self, values: np.ndarray) -> np.ndarray:
+        """Encode masked ``values`` from the live FSM state (override point)."""
+        out = np.empty(len(values), dtype=np.uint64)
+        encode = self.encode_value
+        for i, value in enumerate(values):
+            out[i] = encode(int(value))
+        return out
+
+    def _decode_chunk_fast(self, states: np.ndarray) -> np.ndarray:
+        """Decode masked ``states`` from the live FSM state (override point)."""
+        out = np.empty(len(states), dtype=np.uint64)
+        decode = self.decode_state
+        for i, state in enumerate(states):
+            out[i] = decode(int(state))
+        return out
 
     def _check_encode_width(self, trace: BusTrace) -> None:
         if trace.width != self.input_width:
@@ -100,75 +133,51 @@ class Transcoder(ABC):
         """
         self._check_encode_width(trace)
         self.reset()
-        out = np.empty(len(trace), dtype=np.uint64)
-        encode = self.encode_value
-        for i, value in enumerate(trace.values):
-            out[i] = encode(int(value))
+        out = Transcoder._encode_chunk_fast(self, trace.values)
         return BusTrace(out, self.output_width, self._encoded_name(trace))
 
     def decode_trace_scalar(self, phys: BusTrace) -> BusTrace:
         """Decode a physical trace through the per-cycle FSM loop."""
         self._check_decode_width(phys)
         self.reset()
-        out = np.empty(len(phys), dtype=np.uint64)
-        decode = self.decode_state
-        for i, state in enumerate(phys.values):
-            out[i] = decode(int(state))
+        out = Transcoder._decode_chunk_fast(self, phys.values)
         return BusTrace(out, self.input_width, self._decoded_name(phys))
-
-    # Override points for vectorized kernels.  ``encode_trace`` /
-    # ``decode_trace`` stay the public entry points (and carry the
-    # ``repro.obs`` instrumentation); subclasses with fast kernels
-    # override ``_encode_trace_fast`` / ``_decode_trace_fast`` instead,
-    # so every coder — scalar or vectorized — reports the same
-    # ``coder.*`` metrics from one place.
-
-    def _encode_trace_fast(self, trace: BusTrace) -> BusTrace:
-        return self.encode_trace_scalar(trace)
-
-    def _decode_trace_fast(self, phys: BusTrace) -> BusTrace:
-        return self.decode_trace_scalar(phys)
 
     def encode_trace(self, trace: BusTrace) -> BusTrace:
         """Encode a whole trace; returns the physical wire-state trace.
 
-        Dispatches to the subclass's vectorized kernel when it has one
-        (``_encode_trace_fast``), else the scalar per-cycle loop.  When
-        observability is enabled, records per-coder encode counts,
-        cycle throughput and latency (``coder.encodes``,
+        Resets the encoder and runs the family's chunk kernel over the
+        whole trace.  When observability is enabled, records per-coder
+        encode counts, cycle throughput and latency (``coder.encodes``,
         ``coder.encoded_cycles``, ``coder.encode_s``).
         """
-        if not obs.is_enabled():
-            return self._encode_trace_fast(trace)
+        self._check_encode_width(trace)
         t0 = time.perf_counter()
-        result = self._encode_trace_fast(trace)
-        seconds = time.perf_counter() - t0
-        name = type(self).__name__
-        obs.inc("coder.encodes", coder=name)
-        obs.inc("coder.encoded_cycles", len(trace), coder=name)
-        obs.observe("coder.encode_s", seconds, coder=name)
-        return result
+        self.reset()
+        out = self._encode_chunk_fast(trace.values)
+        if obs.is_enabled():
+            name = type(self).__name__
+            obs.inc("coder.encodes", coder=name)
+            obs.inc("coder.encoded_cycles", len(trace), coder=name)
+            obs.observe("coder.encode_s", time.perf_counter() - t0, coder=name)
+        return BusTrace(out, self.output_width, self._encoded_name(trace))
 
     def decode_trace(self, phys: BusTrace) -> BusTrace:
         """Decode a physical wire-state trace back to the value stream."""
-        if not obs.is_enabled():
-            return self._decode_trace_fast(phys)
+        self._check_decode_width(phys)
         t0 = time.perf_counter()
-        result = self._decode_trace_fast(phys)
-        seconds = time.perf_counter() - t0
-        name = type(self).__name__
-        obs.inc("coder.decodes", coder=name)
-        obs.inc("coder.decoded_cycles", len(phys), coder=name)
-        obs.observe("coder.decode_s", seconds, coder=name)
-        return result
+        self.reset()
+        out = self._decode_chunk_fast(phys.values)
+        if obs.is_enabled():
+            name = type(self).__name__
+            obs.inc("coder.decodes", coder=name)
+            obs.inc("coder.decoded_cycles", len(phys), coder=name)
+            obs.observe("coder.decode_s", time.perf_counter() - t0, coder=name)
+        return BusTrace(out, self.input_width, self._decoded_name(phys))
 
     # -- incremental (streaming) API ----------------------------------
     #
-    # The trace-level methods above are *one-shot*: they reset the FSM
-    # and consume a whole trace.  The chunk-level methods below do NOT
-    # reset — they advance the live FSM by one chunk of values, which
-    # is what :mod:`repro.traces.streaming` and the ``repro.serve``
-    # sessions build on.  The contract (asserted property-style in
+    # The contract (asserted property-style in
     # tests/test_streaming_properties.py): after ``reset()``, feeding a
     # trace through ``encode_chunk`` in any chunking is bit-identical
     # to one ``encode_trace`` call, and likewise for decode.
@@ -189,21 +198,22 @@ class Transcoder(ABC):
         self.__dict__.clear()
         self.__dict__.update(copy.deepcopy(state))
 
-    def _encode_chunk_fast(self, values: np.ndarray) -> np.ndarray:
-        """Override point for vectorized *stateful* chunk kernels."""
-        out = np.empty(len(values), dtype=np.uint64)
-        encode = self.encode_value
-        for i, value in enumerate(values):
-            out[i] = encode(int(value))
-        return out
+    def _chunk_array(self, chunk: Any, direction: str) -> np.ndarray:
+        """Validate one chunk: a contiguous 1-D uint64 array masked to the
+        input (``"encode"``) or output (``"decode"``) width."""
+        arr = np.ascontiguousarray(np.asarray(chunk, dtype=np.uint64))
+        if arr.ndim != 1:
+            what = "values" if direction == "encode" else "states"
+            raise ValueError(f"chunk {what} must be 1-D, got shape {arr.shape}")
+        width = self.input_width if direction == "encode" else self.output_width
+        return arr & np.uint64((1 << width) - 1)
 
-    def _decode_chunk_fast(self, states: np.ndarray) -> np.ndarray:
-        """Override point for vectorized *stateful* chunk kernels."""
-        out = np.empty(len(states), dtype=np.uint64)
-        decode = self.decode_state
-        for i, state in enumerate(states):
-            out[i] = decode(int(state))
-        return out
+    def _count_chunk(self, direction: str, cycles: int) -> None:
+        """Record one streamed chunk in the ``coder.stream_*`` metrics."""
+        if obs.is_enabled():
+            name = type(self).__name__
+            obs.inc("coder.stream_chunks", coder=name, dir=direction)
+            obs.inc("coder.stream_cycles", cycles, coder=name, dir=direction)
 
     def encode_chunk(self, values: Any) -> np.ndarray:
         """Encode one chunk of values *without* resetting the FSM.
@@ -214,30 +224,16 @@ class Transcoder(ABC):
         stream.  Call :meth:`reset` (or use a fresh coder) to start a
         new stream.
         """
-        arr = np.ascontiguousarray(np.asarray(values, dtype=np.uint64))
-        if arr.ndim != 1:
-            raise ValueError(f"chunk values must be 1-D, got shape {arr.shape}")
-        arr = arr & np.uint64((1 << self.input_width) - 1)
+        arr = self._chunk_array(values, "encode")
         result = self._encode_chunk_fast(arr)
-        if obs.is_enabled():
-            obs.inc("coder.stream_chunks", coder=type(self).__name__, dir="encode")
-            obs.inc(
-                "coder.stream_cycles", len(arr), coder=type(self).__name__, dir="encode"
-            )
+        self._count_chunk("encode", len(arr))
         return result
 
     def decode_chunk(self, states: Any) -> np.ndarray:
         """Decode one chunk of wire states *without* resetting the FSM."""
-        arr = np.ascontiguousarray(np.asarray(states, dtype=np.uint64))
-        if arr.ndim != 1:
-            raise ValueError(f"chunk states must be 1-D, got shape {arr.shape}")
-        arr = arr & np.uint64((1 << self.output_width) - 1)
+        arr = self._chunk_array(states, "decode")
         result = self._decode_chunk_fast(arr)
-        if obs.is_enabled():
-            obs.inc("coder.stream_chunks", coder=type(self).__name__, dir="decode")
-            obs.inc(
-                "coder.stream_cycles", len(arr), coder=type(self).__name__, dir="decode"
-            )
+        self._count_chunk("decode", len(arr))
         return result
 
     # -- columnar batch API -------------------------------------------
@@ -246,11 +242,11 @@ class Transcoder(ABC):
     # in ONE kernel call when the family's transform vectorizes across
     # streams (``columnar_batch = True``; see TransitionCoder's 2-D
     # kernels).  The default implementations below simply loop the
-    # per-stream chunk/trace methods — that loop IS the differential
-    # oracle the columnar overrides are tested against, and it makes
-    # the batch API safe to call for every family unconditionally.
-    # Contract (pinned by tests/test_columnar_kernels.py): batch calls
-    # are bit-identical to per-stream calls, advance each coder's FSM
+    # per-stream chunk methods — that loop IS the differential oracle
+    # the columnar overrides are tested against, and it makes the batch
+    # API safe to call for every family unconditionally.  Contract
+    # (pinned by tests/test_columnar_kernels.py): batch calls are
+    # bit-identical to per-stream calls, advance each coder's FSM
     # identically, and report the same ``coder.*`` metrics.
 
     #: True when this family overrides the batch methods with real
@@ -274,15 +270,6 @@ class Transcoder(ABC):
     ) -> List[np.ndarray]:
         """Advance B live decoder FSMs by one chunk each."""
         return [coder.decode_chunk(chunk) for coder, chunk in zip(coders, chunks)]
-
-    def encode_traces_batch(self, traces: List[BusTrace]) -> List[BusTrace]:
-        """One-shot encode B independent traces (each from power-on).
-
-        Every trace is encoded as :meth:`encode_trace` would encode it
-        alone — reset first, so results are pure functions of each
-        input.  The default loops; columnar families override.
-        """
-        return [self.encode_trace(trace) for trace in traces]
 
     def roundtrip(self, trace: BusTrace) -> BusTrace:
         """``decode_trace(encode_trace(trace))`` — must equal ``trace``."""

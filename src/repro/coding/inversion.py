@@ -29,7 +29,6 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .._bitops import pair_coupling_counts, popcount
-from ..traces.trace import BusTrace
 from .base import Transcoder
 
 __all__ = ["InversionTranscoder", "default_patterns"]
@@ -168,7 +167,7 @@ class InversionTranscoder(Transcoder):
         self._state = state
         return data ^ self.patterns[index]
 
-    # -- vectorized trace kernels -----------------------------------------
+    # -- vectorized chunk kernels -----------------------------------------
     #
     # The encoder is a greedy chain: the pattern picked at cycle t
     # depends on the physical state left by cycle t-1, which is itself
@@ -196,19 +195,14 @@ class InversionTranscoder(Transcoder):
         kappa = pair_coupling_counts(old, new, self.output_width)
         return tau + self.assumed_lambda * kappa
 
-    def _encode_trace_fast(self, trace: BusTrace) -> BusTrace:
-        self._check_encode_width(trace)
-        self.reset()
-        values = trace.values
+    def _encode_chunk_fast(self, values: np.ndarray) -> np.ndarray:
         cycles = len(values)
         if cycles == 0:
-            return BusTrace(
-                np.empty(0, dtype=np.uint64), self.output_width, self._encoded_name(trace)
-            )
+            return np.empty(0, dtype=np.uint64)
         cand = self._candidate_states(values)
         choices = np.empty(cycles, dtype=np.intp)
-        # First cycle: costs from the quiescent bus (state 0).
-        first = self._step_costs(np.uint64(0), cand[0])
+        # First cycle: costs from the live bus state.
+        first = self._step_costs(np.uint64(self._state), cand[0])
         prev_choice = int(np.argmin(first))
         choices[0] = prev_choice
         # Remaining cycles, blockwise: costs[t, i, j] is the cost of
@@ -232,15 +226,12 @@ class InversionTranscoder(Transcoder):
             choices[start:stop] = block_choices
         out = cand[np.arange(cycles), choices]
         self._state = int(out[-1])  # leave the FSM as the loop would
-        return BusTrace(out, self.output_width, self._encoded_name(trace))
+        return out
 
-    def _decode_trace_fast(self, phys: BusTrace) -> BusTrace:
-        self._check_decode_width(phys)
-        self.reset()
-        states = phys.values
+    def _decode_chunk_fast(self, states: np.ndarray) -> np.ndarray:
         pats = np.array(self.patterns, dtype=np.uint64)
         indices = (states >> np.uint64(self.input_width)).astype(np.intp)
         out = (states & np.uint64(self._mask)) ^ pats[indices]
         if len(states):
             self._state = int(states[-1])
-        return BusTrace(out, self.input_width, self._decoded_name(phys))
+        return out

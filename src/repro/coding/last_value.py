@@ -15,9 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .._bitops import popcount
-from ..traces.trace import BusTrace
 from .predictive import (
-    CTRL_CODE,
     CTRL_RAW,
     CTRL_RAW_INVERTED,
     Predictor,
@@ -50,17 +48,17 @@ class LastValuePredictor(Predictor):
         self.last = value
 
 
-def _forward_fill(values: np.ndarray, present: np.ndarray) -> np.ndarray:
+def _forward_fill(values: np.ndarray, present: np.ndarray, initial: int) -> np.ndarray:
     """Carry each present element forward over the absent positions.
 
     ``values[t]`` is used where ``present[t]``; other positions repeat
-    the most recent present value, or 0 before the first one.
+    the most recent present value, or ``initial`` before the first one.
     """
     cycles = len(values)
     positions = np.where(present, np.arange(cycles), -1)
     np.maximum.accumulate(positions, out=positions)
     filled = np.where(
-        positions >= 0, values[np.maximum(positions, 0)], np.uint64(0)
+        positions >= 0, values[np.maximum(positions, 0)], np.uint64(initial)
     )
     return filled.astype(np.uint64, copy=False)
 
@@ -68,7 +66,7 @@ def _forward_fill(values: np.ndarray, present: np.ndarray) -> np.ndarray:
 class LastValueTranscoder(PredictiveTranscoder):
     """Standalone LAST-value transcoder over a ``width``-bit bus.
 
-    Trace-level calls use a vectorized kernel.  LAST has a single code
+    The chunk kernels are vectorized.  LAST has a single code
     slot whose codeword is 0, so every cycle is either *silent* (the
     value repeats and the bus does not move) or a *raw* cycle whose
     polarity (raw vs. inverted) is a greedy choice against the previous
@@ -80,31 +78,26 @@ class LastValueTranscoder(PredictiveTranscoder):
     def __init__(self, width: int = 32):
         super().__init__(LastValuePredictor(), width)
 
-    # -- vectorized trace kernels -----------------------------------------
+    # -- vectorized chunk kernels -----------------------------------------
 
     def _fast_path_ok(self) -> bool:
         # The kernel models the default configuration; ablation modes
         # fall back to the scalar loop.
         return self.silent_last and not self.edge_control
 
-    def _encode_trace_fast(self, trace: BusTrace) -> BusTrace:
+    def _encode_chunk_fast(self, values: np.ndarray) -> np.ndarray:
         if not self._fast_path_ok():
-            return self.encode_trace_scalar(trace)
-        self._check_encode_width(trace)
-        self.reset()
-        values = trace.values
+            return super()._encode_chunk_fast(values)
         cycles = len(values)
         if cycles == 0:
-            return BusTrace(
-                np.empty(0, dtype=np.uint64), self.output_width, self._encoded_name(trace)
-            )
+            return np.empty(0, dtype=np.uint64)
         width = self.input_width
         mask = np.uint64(self._mask)
         shift = np.uint64(width)
         # A cycle is a LAST hit when its value repeats the previous one
-        # (the predictor powers on holding 0).
+        # (the first against the predictor's live LAST value).
         hits = np.empty(cycles, dtype=bool)
-        hits[0] = values[0] == np.uint64(0)
+        hits[0] = values[0] == np.uint64(self.predictor.last)
         hits[1:] = values[1:] == values[:-1]
         miss_idx = np.flatnonzero(~hits)
         out_states = np.empty(len(miss_idx), dtype=np.uint64)
@@ -115,20 +108,22 @@ class LastValueTranscoder(PredictiveTranscoder):
             # the bus is silent, so the previous miss's value *is* the
             # predictor's LAST value, and a miss means mv[m] != mv[m-1];
             # hence the scalar loop's same-state collision rewrite can
-            # never trigger and the choice depends only on
-            # a = popcount(prev_value ^ value):
+            # never trigger (not at the chunk's first miss either: a
+            # miss never repeats the LAST value) and the choice depends
+            # only on a = popcount(prev_value ^ value):
             #   from raw:      cost_raw = a,       cost_inv = (W - a) + 1
             #   from inverted: cost_raw = (W-a)+1, cost_inv = a
             # (the +1 is the single Gray-coded control-wire toggle).
             a = popcount(mv[1:] ^ mv[:-1])
             inv_from_raw = ((width - a) + 1 < a).tolist()
             inv_from_inv = (a < (width - a) + 1).tolist()
-            # First miss: previous state is the quiescent bus (0, CTRL_CODE).
+            # First miss: costed from the live bus state.
             first = int(mv[0])
-            cost_raw = bin(first).count("1") + bin(CTRL_CODE ^ CTRL_RAW).count("1")
-            cost_inv = bin(~first & self._mask).count("1") + bin(
-                CTRL_CODE ^ CTRL_RAW_INVERTED
-            ).count("1")
+            inverted = ~first & self._mask
+            cost_raw = bin(self._data_state ^ first).count("1") + self._ctrl_cost(CTRL_RAW)
+            cost_inv = bin(self._data_state ^ inverted).count("1") + self._ctrl_cost(
+                CTRL_RAW_INVERTED
+            )
             state = 1 if cost_inv < cost_raw else 0
             chain = np.empty(len(miss_idx), dtype=bool)
             chain[0] = bool(state)
@@ -142,30 +137,25 @@ class LastValueTranscoder(PredictiveTranscoder):
             out_states = (ctrl << shift) | data
         out = np.zeros(cycles, dtype=np.uint64)
         out[miss_idx] = out_states
-        out = _forward_fill(out, ~hits)
+        out = _forward_fill(out, ~hits, self._pack(self._data_state, self._ctrl_state))
         # Leave the FSM exactly as the scalar loop would.
         self.predictor.last = int(values[-1])
         if len(miss_idx):
             final = int(out[-1])
             self._data_state = final & self._mask
             self._ctrl_state = final >> width
-        return BusTrace(out, self.output_width, self._encoded_name(trace))
+        return out
 
-    def _decode_trace_fast(self, phys: BusTrace) -> BusTrace:
+    def _decode_chunk_fast(self, states: np.ndarray) -> np.ndarray:
         if not self._fast_path_ok():
-            return self.decode_trace_scalar(phys)
-        self._check_decode_width(phys)
-        states = phys.values
+            return super()._decode_chunk_fast(states)
         cycles = len(states)
         if cycles == 0:
-            self.reset()
-            return BusTrace(
-                np.empty(0, dtype=np.uint64), self.input_width, self._decoded_name(phys)
-            )
+            return np.empty(0, dtype=np.uint64)
         mask = np.uint64(self._mask)
         shift = np.uint64(self.input_width)
         prev = np.empty_like(states)
-        prev[0] = np.uint64(0)  # reset state: data 0, CTRL_CODE
+        prev[0] = np.uint64(self._pack(self._data_state, self._ctrl_state))
         prev[1:] = states[:-1]
         silent = states == prev
         ctrl = states >> shift
@@ -176,13 +166,12 @@ class LastValueTranscoder(PredictiveTranscoder):
         if len(loud_ctrl) and not np.all(
             (loud_ctrl == np.uint64(CTRL_RAW)) | (loud_ctrl == np.uint64(CTRL_RAW_INVERTED))
         ):
-            return self.decode_trace_scalar(phys)
-        self.reset()
+            return super()._decode_chunk_fast(states)
         data = states & mask
         decoded = np.where(ctrl == np.uint64(CTRL_RAW), data, ~data & mask)
-        out = _forward_fill(decoded, ~silent)
+        out = _forward_fill(decoded, ~silent, self.predictor.last)
         self.predictor.last = int(out[-1])
         self._data_state = int(data[-1])
         self._ctrl_state = int(ctrl[-1])
-        self._decode_cycle = cycles
-        return BusTrace(out, self.input_width, self._decoded_name(phys))
+        self._decode_cycle += cycles
+        return out

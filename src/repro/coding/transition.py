@@ -14,14 +14,11 @@ predictions and send them *through* this layer.
 
 from __future__ import annotations
 
-import time
 from typing import Any, List
 
 import numpy as np
 
-from .. import obs
 from .._bitops import pack_streams, unpack_streams, xor_diff_rows, xor_scan_rows
-from ..traces.trace import BusTrace
 from .base import Transcoder
 
 __all__ = ["TransitionCoder"]
@@ -30,8 +27,8 @@ __all__ = ["TransitionCoder"]
 class TransitionCoder(Transcoder):
     """Pure XOR transition coder: input bits select which wires toggle.
 
-    Trace-level calls use a vectorized kernel: the encoder state is the
-    running XOR of all inputs, so a whole trace encodes as one
+    The chunk kernels are vectorized: the encoder state is the running
+    XOR of all inputs, so a chunk encodes as one
     ``np.bitwise_xor.accumulate`` and decodes as one shifted XOR.  The
     per-cycle :meth:`encode_value`/:meth:`decode_state` remain the
     scalar oracle (and what the fault-injection co-simulation drives).
@@ -56,16 +53,7 @@ class TransitionCoder(Transcoder):
         self._dec_state = state
         return value
 
-    # -- vectorized trace kernels ------------------------------------
-
-    def _encode_trace_fast(self, trace: BusTrace) -> BusTrace:
-        """Whole-trace XOR accumulation (bit-identical to the scalar loop)."""
-        self._check_encode_width(trace)
-        self.reset()
-        out = np.bitwise_xor.accumulate(trace.values)
-        if len(out):
-            self._enc_state = int(out[-1])  # leave the FSM as the loop would
-        return BusTrace(out, self.output_width, self._encoded_name(trace))
+    # -- vectorized chunk kernels ------------------------------------
 
     def _encode_chunk_fast(self, values: np.ndarray) -> np.ndarray:
         """Streaming chunk kernel: XOR accumulation from the live state.
@@ -108,26 +96,14 @@ class TransitionCoder(Transcoder):
         cls, coders: List["TransitionCoder"], chunks: List[Any]
     ) -> List[np.ndarray]:
         """Advance B live encoders by one chunk each, in one 2-D scan."""
-        arrs = []
-        for coder, chunk in zip(coders, chunks):
-            arr = np.ascontiguousarray(np.asarray(chunk, dtype=np.uint64))
-            if arr.ndim != 1:
-                raise ValueError(f"chunk values must be 1-D, got shape {arr.shape}")
-            arrs.append(arr & np.uint64(coder._mask))
+        arrs = [coder._chunk_array(chunk, "encode") for coder, chunk in zip(coders, chunks)]
         seeds = np.array([coder._enc_state for coder in coders], dtype=np.uint64)
         matrix, lengths = pack_streams(arrs)
         outs = unpack_streams(xor_scan_rows(matrix, seeds), lengths)
         for coder, out in zip(coders, outs):
             if len(out):
                 coder._enc_state = int(out[-1])
-            if obs.is_enabled():
-                obs.inc("coder.stream_chunks", coder=type(coder).__name__, dir="encode")
-                obs.inc(
-                    "coder.stream_cycles",
-                    len(out),
-                    coder=type(coder).__name__,
-                    dir="encode",
-                )
+            coder._count_chunk("encode", len(out))
         return outs
 
     @classmethod
@@ -135,61 +111,12 @@ class TransitionCoder(Transcoder):
         cls, coders: List["TransitionCoder"], chunks: List[Any]
     ) -> List[np.ndarray]:
         """Advance B live decoders by one chunk each, in one 2-D pass."""
-        arrs = []
-        for coder, chunk in zip(coders, chunks):
-            arr = np.ascontiguousarray(np.asarray(chunk, dtype=np.uint64))
-            if arr.ndim != 1:
-                raise ValueError(f"chunk states must be 1-D, got shape {arr.shape}")
-            arrs.append(arr & np.uint64((1 << coder.output_width) - 1))
+        arrs = [coder._chunk_array(chunk, "decode") for coder, chunk in zip(coders, chunks)]
         seeds = np.array([coder._dec_state for coder in coders], dtype=np.uint64)
         matrix, lengths = pack_streams(arrs)
         outs = unpack_streams(xor_diff_rows(matrix, seeds), lengths)
         for coder, arr, out in zip(coders, arrs, outs):
             if len(arr):
                 coder._dec_state = int(arr[-1])
-            if obs.is_enabled():
-                obs.inc("coder.stream_chunks", coder=type(coder).__name__, dir="decode")
-                obs.inc(
-                    "coder.stream_cycles",
-                    len(out),
-                    coder=type(coder).__name__,
-                    dir="decode",
-                )
+            coder._count_chunk("decode", len(out))
         return outs
-
-    def encode_traces_batch(self, traces: List[BusTrace]) -> List[BusTrace]:
-        """One-shot encode B traces (each from power-on) in one 2-D scan."""
-        for trace in traces:
-            self._check_encode_width(trace)
-        t0 = time.perf_counter()
-        matrix, lengths = pack_streams([trace.values for trace in traces])
-        seeds = np.zeros(len(traces), dtype=np.uint64)
-        rows = unpack_streams(xor_scan_rows(matrix, seeds), lengths)
-        self.reset()
-        if rows and len(rows[-1]):
-            self._enc_state = int(rows[-1][-1])  # as the last solo call would
-        results = [
-            BusTrace(row, self.output_width, self._encoded_name(trace))
-            for trace, row in zip(traces, rows)
-        ]
-        if obs.is_enabled():
-            seconds = time.perf_counter() - t0
-            name = type(self).__name__
-            for trace in traces:
-                obs.inc("coder.encodes", coder=name)
-                obs.inc("coder.encoded_cycles", len(trace), coder=name)
-                obs.observe("coder.encode_s", seconds / max(1, len(traces)), coder=name)
-        return results
-
-    def _decode_trace_fast(self, phys: BusTrace) -> BusTrace:
-        """Whole-trace shifted XOR (bit-identical to the scalar loop)."""
-        self._check_decode_width(phys)
-        self.reset()
-        states = phys.values
-        prev = np.empty_like(states)
-        if len(states):
-            prev[0] = np.uint64(0)
-            prev[1:] = states[:-1]
-            self._dec_state = int(states[-1])
-        out = states ^ prev
-        return BusTrace(out, self.input_width, self._decoded_name(phys))

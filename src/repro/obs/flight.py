@@ -141,12 +141,15 @@ class FlightRecorder:
 
 
 def read_flight_journal(path: str) -> List[Dict[str, Any]]:
-    """Parse an eager ``flight.jsonl`` journal, tolerating a torn tail.
+    """Parse an eager append-only JSONL journal, tolerating a torn tail.
 
     A SIGKILL can land mid-write, leaving a final partial line; unlike
     :func:`repro.obs.export.read_jsonl` (which rejects malformed lines),
     the harvest path drops an undecodable *last* line silently — that is
-    exactly the crash the journal exists to survive.
+    exactly the crash the journal exists to survive.  An undecodable
+    interior line raises ``ValueError`` naming ``path:lineno``.  The run
+    ledger (:func:`repro.runs.ledger.read_ledger`) is read by this same
+    function.
     """
     records: List[Dict[str, Any]] = []
     with open(path, "r", encoding="utf-8") as handle:

@@ -49,12 +49,14 @@ a bad line in the middle means real damage, not a crash).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
+
+from .._digest import canonical_json, content_digest, file_digest
+from ..obs.flight import read_flight_journal
 
 __all__ = [
     "LEDGER_FILENAME",
@@ -69,30 +71,6 @@ __all__ = [
 
 #: The journal every run directory is built around.
 LEDGER_FILENAME = "ledger.jsonl"
-
-
-def canonical_json(value: Any) -> str:
-    """The canonical (sorted-key, compact) JSON encoding of ``value``.
-
-    Content keys — cell identity, config digests, artifact digests —
-    are all computed over this encoding, so they are stable across
-    processes, dict orderings and Python versions.
-    """
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
-
-
-def content_digest(value: Any) -> str:
-    """SHA-256 hex digest of :func:`canonical_json`\\ (value)."""
-    return hashlib.sha256(canonical_json(value).encode("utf-8")).hexdigest()
-
-
-def file_digest(path: str) -> str:
-    """SHA-256 hex digest of a file's exact bytes."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
 
 
 class RunLedger:
@@ -128,29 +106,9 @@ class RunLedger:
         return f"RunLedger({self.path!r})"
 
 
-def read_ledger(path: str) -> List[Dict[str, Any]]:
-    """Parse a ledger, tolerating a torn tail (the kill -9 case).
-
-    An undecodable *last* line is dropped silently — that is exactly
-    the crash the journal exists to survive.  Undecodable interior
-    lines raise ``ValueError`` naming ``path:lineno``: an append-only
-    journal with damage in the middle was tampered with or the disk is
-    failing, and resuming over it would silently lose cells.
-    """
-    records: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.readlines()
-    for index, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError:
-            if index == len(lines) - 1:  # torn tail: expected after kill -9
-                break
-            raise ValueError(f"{path}:{index + 1}: not valid JSON") from None
-    return records
+#: The ledger has the flight journal's torn-tail contract (see the module
+#: docstring), so it is read by the same function.
+read_ledger = read_flight_journal
 
 
 @dataclass

@@ -759,19 +759,21 @@ class ServeEngine:
             if not type(coder).columnar_batch:
                 continue
             try:
-                traces = [
-                    BusTrace(np.asarray(payload, dtype=np.uint64), width)
-                    for _, payload in group
+                # One-shots start from power-on: fresh coders, one per job.
+                coders = [coder] + [
+                    parse_coder_spec(spec, width) for _ in group[1:]
                 ]
                 with obs.timed("serve.kernel_s", op="encode_trace", coder=spec):
-                    coded = coder.encode_traces_batch(traces)
+                    coded = type(coder).encode_chunks_batch(
+                        coders, [payload for _, payload in group]
+                    )
             except Exception:  # noqa: BLE001 - fall back, never fail the wave
                 continue
             for (job, payload), out in zip(group, coded):
                 obs.inc("serve.encoded_cycles", len(payload), coder=spec)
                 responses[id(job)] = protocol.ok_response(
                     job.request_id,
-                    states=self._bulk_out(payload, out.values),
+                    states=self._bulk_out(payload, out),
                     output_width=coder.output_width,
                 )
             # The sequential path would have shared one coder instance

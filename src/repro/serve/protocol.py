@@ -134,13 +134,14 @@ shared verbatim by server and client.
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import json
 import struct
 import zlib
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
+
+from .._digest import content_digest
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -584,9 +585,7 @@ def state_digest(state: Dict[str, Any]) -> str:
     ``stale_checkpoint`` — a truncated or bit-flipped checkpoint must
     never be restored into live FSMs.
     """
-    body = {k: v for k, v in state.items() if k != "digest"}
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return content_digest({k: v for k, v in state.items() if k != "digest"})
 
 
 def int_list_field(

@@ -45,6 +45,7 @@ import tempfile
 from typing import Any, Dict, Optional
 
 from .. import obs
+from .._digest import content_digest
 from .io import TraceFormatError, load_trace, save_trace
 from .trace import BusTrace
 
@@ -65,12 +66,6 @@ CACHE_ENABLE_ENV = "REPRO_TRACE_CACHE"
 #: v2: every entry is digest-sealed (``sha256`` npz member / JSON
 #: envelope), verified on load.
 _CACHE_VERSION = 2
-
-
-def _json_digest(value: Any) -> str:
-    """SHA-256 over the canonical JSON encoding of ``value``."""
-    text = json.dumps(value, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def default_cache_dir() -> str:
@@ -221,7 +216,7 @@ class TraceCache:
         if (
             not isinstance(blob, dict)
             or set(blob) != {"sha256", "value"}
-            or blob["sha256"] != _json_digest(blob["value"])
+            or blob["sha256"] != content_digest(blob["value"])
         ):
             self.corrupt_evictions += 1
             self.misses += 1
@@ -248,7 +243,7 @@ class TraceCache:
                 prefix=".tmp-", suffix=".json", dir=self.directory
             )
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump({"sha256": _json_digest(value), "value": value}, handle)
+                json.dump({"sha256": content_digest(value), "value": value}, handle)
             os.replace(tmp, self.json_path(key))
         except (OSError, TypeError):
             pass

@@ -193,24 +193,28 @@ class TestBinaryFramesUnderChaos:
 
 
 class TestBatchedEqualsSequential:
-    def test_columnar_micro_batch_matches_batch_limit_one(self):
+    @pytest.mark.parametrize("op", ["encode", "encode_trace"])
+    def test_columnar_micro_batch_matches_batch_limit_one(self, op):
+        """Session chunks and stateless one-shots alike: the coalesced
+        transition wave answers what the sequential path answers."""
         streams, chunks, words = 6, 5, 48
+        traces = [
+            [int(v) for v in locality_trace(chunks * words, seed=70 + i).values]
+            for i in range(streams)
+        ]
 
         async def drive(batch_limit):
-            traces = [
-                [int(v) for v in locality_trace(chunks * words, seed=70 + i).values]
-                for i in range(streams)
-            ]
             baseline = obs.get_registry().snapshot()
             engine = ServeEngine(batch_limit=batch_limit, queue_limit=256)
             await engine.start()
             try:
                 sessions = []
-                for i in range(streams):
-                    opened = await engine.handle(
-                        i, protocol.request("open", 1, coder="transition", width=32)
-                    )
-                    sessions.append(opened["session"])
+                if op == "encode":
+                    for i in range(streams):
+                        opened = await engine.handle(
+                            i, protocol.request("open", 1, coder="transition", width=32)
+                        )
+                        sessions.append(opened["session"])
                 outputs = [[] for _ in range(streams)]
 
                 async def one(i):
@@ -218,11 +222,12 @@ class TestBatchedEqualsSequential:
                         payload = np.asarray(
                             traces[i][start : start + words], dtype=np.uint64
                         )
+                        if op == "encode":
+                            fields = dict(session=sessions[i], values=payload)
+                        else:
+                            fields = dict(coder="transition", width=32, values=payload)
                         response = await engine.handle(
-                            i,
-                            protocol.request(
-                                "encode", 2, session=sessions[i], values=payload
-                            ),
+                            i, protocol.request(op, 2, **fields)
                         )
                         assert response["ok"]
                         outputs[i].append(response["states"])
@@ -230,17 +235,29 @@ class TestBatchedEqualsSequential:
                 await asyncio.gather(*(one(i) for i in range(streams)))
             finally:
                 await engine.stop(0.5)
-            return [flat(out) for out in outputs], cost_counters(baseline)
+            coalesced = obs.get_registry().diff(baseline)["counters"].get(
+                f"serve.coalesced{{coder=transition, op={op}}}", 0
+            )
+            return outputs, cost_counters(baseline), coalesced
 
-        sequential, seq_costs = run(drive(1))
-        batched, batch_costs = run(drive(16))
-        assert batched == sequential
+        sequential, seq_costs, _ = run(drive(1))
+        batched, batch_costs, coalesced = run(drive(16))
+        assert coalesced > 0  # the columnar wave really ran
+        assert [flat(out) for out in batched] == [flat(out) for out in sequential]
         assert batch_costs == seq_costs
-        # And both match the library oracle.
+        # And both match the library oracle: one stream per session, or
+        # one power-on encode per one-shot chunk.
+        oracle = parse_coder_spec("transition", 32)
         for i, out in enumerate(sequential):
-            trace = locality_trace(chunks * words, seed=70 + i)
-            oracle = parse_coder_spec("transition", 32).encode_trace(trace)
-            assert out == [int(v) for v in oracle.values]
+            if op == "encode":
+                trace = locality_trace(chunks * words, seed=70 + i)
+                assert flat(out) == [int(v) for v in oracle.encode_trace(trace).values]
+            else:
+                for start, states in zip(range(0, chunks * words, words), out):
+                    chunk = BusTrace.from_values(traces[i][start : start + words])
+                    assert flat([states]) == [
+                        int(v) for v in oracle.encode_trace(chunk).values
+                    ]
 
 
 class TestFramingIsInvisibleProperty:

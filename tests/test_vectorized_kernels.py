@@ -1,16 +1,16 @@
-"""Differential tests: vectorized trace kernels vs the scalar FSM oracle.
+"""Differential tests: vectorized chunk kernels vs the scalar FSM oracle.
 
 Every coder with a fast path (`TransitionCoder`, `InversionTranscoder`,
 `LastValueTranscoder`) must produce *bit-identical* encodes and decodes
 to its per-cycle loop on every input — suite traces, synthetic traces,
-adversarial hypothesis streams, empty traces — and must leave the FSM
-in the same state the scalar loop would, so per-cycle calls can
-continue seamlessly after a trace-level call.
+adversarial hypothesis streams, empty traces, any chunking — and must
+leave the FSM in the same state the scalar loop would, so per-cycle
+calls (or the next chunk) continue seamlessly after a kernel call.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro._bitops import (
     HAVE_BITWISE_COUNT,
@@ -19,6 +19,8 @@ from repro._bitops import (
     popcount,
 )
 from repro.coding import InversionTranscoder, LastValueTranscoder, TransitionCoder
+from repro.coding.errors import DesyncError
+from repro.coding.predictive import CTRL_RAW
 from repro.traces import BusTrace
 from repro.workloads import locality_trace, random_trace, suite_traces
 
@@ -137,6 +139,109 @@ def test_differential_hypothesis(values):
     trace = BusTrace.from_values(values, width=WIDTH, name="hyp")
     for make in CODER_FACTORIES.values():
         assert_differential(make, trace)
+
+
+# -- chunked kernels vs the scalar oracle ----------------------------------
+
+#: Chunk lengths carving a stream: 0 and 1 are the edge cases a
+#: stateful kernel most easily gets wrong at its boundaries.
+chunk_sizes = st.lists(st.integers(0, 23), min_size=0, max_size=12)
+#: Streams over a tiny alphabet, so repeats and power-on values land on
+#: chunk boundaries often (the cases a live-state kernel must get right).
+chunk_streams = st.one_of(
+    streams32,
+    st.lists(st.sampled_from([0, 1, 0xFFFFFFFF, 0xAAAAAAAA]), min_size=0, max_size=60),
+)
+
+LAST_ABLATIONS = ((False, False), (True, True), (False, True))
+
+
+def carve(stream, sizes):
+    """``stream`` cut at ``sizes`` (empty chunks kept), plus the tail."""
+    parts, pos = [], 0
+    for size in sizes:
+        parts.append(stream[pos : pos + size])
+        pos += size
+    parts.append(stream[pos:])
+    return parts
+
+
+def fsm_fields(coder):
+    """Every FSM field of a coder, predictor state included."""
+    fields = dict(vars(coder))
+    predictor = fields.pop("predictor", None)
+    if predictor is not None:
+        fields["predictor"] = dict(vars(predictor))
+    return fields
+
+
+def assert_chunked_matches_scalar(make, values, sizes):
+    trace = BusTrace.from_values(values, width=WIDTH)
+    scalar = make(WIDTH)
+    scalar_phys = scalar.encode_trace_scalar(trace)
+    chunked = make(WIDTH)
+    parts = [chunked.encode_chunk(c) for c in carve(trace.values, sizes)]
+    assert np.array_equal(np.concatenate(parts), scalar_phys.values)
+    assert fsm_fields(chunked) == fsm_fields(scalar)
+
+    scalar_dec = scalar.decode_trace_scalar(scalar_phys)
+    decoder = make(WIDTH)
+    parts = [decoder.decode_chunk(c) for c in carve(scalar_phys.values, sizes)]
+    assert np.array_equal(np.concatenate(parts), scalar_dec.values)
+    assert fsm_fields(decoder) == fsm_fields(scalar)
+
+
+#: Every cycle its own chunk (plus empties): a repeat, a power-on value
+#: after a non-zero one and a miss whose polarity depends on the live bus
+#: state each straddle a boundary.
+BOUNDARY_STREAM = [0xFFFFFFFF, 1, 1, 0, 0xAAAAAAAA, 0xAAAAAAAA, 0x55555555]
+BOUNDARY_SIZES = [1, 0, 1, 1, 1, 1, 0, 1, 1]
+
+
+@pytest.mark.parametrize("coder_name", sorted(CODER_FACTORIES))
+@settings(deadline=None, max_examples=60)
+@given(values=chunk_streams, sizes=chunk_sizes)
+@example(values=BOUNDARY_STREAM, sizes=BOUNDARY_SIZES)
+def test_chunked_kernels_match_scalar_oracle(coder_name, values, sizes):
+    assert_chunked_matches_scalar(CODER_FACTORIES[coder_name], values, sizes)
+
+
+@pytest.mark.parametrize("silent_last, edge_control", LAST_ABLATIONS)
+@settings(deadline=None, max_examples=20)
+@given(values=chunk_streams, sizes=chunk_sizes)
+@example(values=BOUNDARY_STREAM, sizes=BOUNDARY_SIZES)
+def test_last_value_ablation_chunks_take_the_fallback(
+    silent_last, edge_control, values, sizes
+):
+    def make(width):
+        coder = LastValueTranscoder(width)
+        coder.silent_last = silent_last
+        coder.edge_control = edge_control
+        assert not coder._fast_path_ok()
+        return coder
+
+    assert_chunked_matches_scalar(make, values, sizes)
+
+
+@pytest.mark.parametrize("bad_ctrl", [0b10, 0b00])
+def test_last_value_malformed_second_chunk_desyncs_like_scalar(bad_ctrl):
+    """A malformed control state in the second chunk replays the scalar
+    loop from the live state: same message, same cycle annotation."""
+    trace = locality_trace(60, WIDTH, seed=9)
+    states = LastValueTranscoder(WIDTH).encode_trace(trace).values.copy()
+    bad = 25  # inside the second chunk of a 20-word chunking
+    data = (int(states[bad - 1]) & 0xFFFFFFFF) ^ 0x5  # loud: data changes
+    states[bad] = (bad_ctrl << WIDTH) | data
+    phys = BusTrace(states, WIDTH + 2)
+    with pytest.raises(DesyncError) as scalar_exc:
+        LastValueTranscoder(WIDTH).decode_trace_scalar(phys)
+    decoder = LastValueTranscoder(WIDTH)
+    decoder.decode_chunk(states[:20])
+    with pytest.raises(DesyncError) as chunk_exc:
+        decoder.decode_chunk(states[20:40])
+    assert str(chunk_exc.value) == str(scalar_exc.value)
+    assert chunk_exc.value.cycle == scalar_exc.value.cycle == bad
+    assert chunk_exc.value.coder == scalar_exc.value.coder
 
 
 @settings(deadline=None, max_examples=60)
