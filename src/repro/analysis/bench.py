@@ -3,14 +3,17 @@
 Two families of measurements, both emitted as a ``BENCH_*.json``
 report so perf regressions are diffable across commits:
 
-* **kernel throughput** — each vectorized coding kernel
+* **kernel throughput** — each coding chunk kernel
   (:class:`~repro.coding.transition.TransitionCoder`,
   :class:`~repro.coding.inversion.InversionTranscoder`,
-  :class:`~repro.coding.last_value.LastValueTranscoder`) timed against
-  its own scalar per-cycle loop on the same trace.  The scalar path is
-  the differential-testing oracle, so every timing run doubles as a
-  correctness check: the report records whether the two encodes were
-  bit-identical.
+  :class:`~repro.coding.last_value.LastValueTranscoder` and the paper's
+  8-entry window as the hardware-audited
+  :class:`~repro.hardware.transcoder_hw.HardwareWindowTranscoder`)
+  timed against its own scalar per-cycle loop on the same trace.  The
+  scalar path is the differential-testing oracle, so every timing run
+  doubles as a correctness check: the report records whether the two
+  encodes — and, for the audited window, their operation counts — were
+  identical.
 * **sweep latency** — a small :func:`robust_savings_sweep` and
   :func:`crossover_table` run cold (empty trace cache) and then warm
   (persistent cache populated, in-memory layers cleared), quantifying
@@ -66,6 +69,7 @@ from .. import obs
 from ..coding.inversion import InversionTranscoder
 from ..coding.last_value import LastValueTranscoder
 from ..coding.transition import TransitionCoder
+from ..hardware.transcoder_hw import HardwareWindowTranscoder
 from ..traces.cache import TraceCache, get_default_cache, set_default_cache
 from ..traces.trace import BusTrace
 from ..wires.technology import TECHNOLOGIES
@@ -118,6 +122,11 @@ def _kernel_cases(quick: bool) -> List[Tuple[str, Any, BusTrace]]:
             InversionTranscoder(32, 1),
             locality_trace(cycles(100_000), 32, seed=11, name="bench-locality"),
         ),
+        (
+            "window8",
+            HardwareWindowTranscoder(TECHNOLOGIES[0], 8, 32),
+            locality_trace(cycles(100_000), 32, seed=13, name="bench-locality"),
+        ),
     ]
 
 
@@ -159,6 +168,7 @@ def _time_kernel(name: str, coder: Any, trace: BusTrace) -> Dict[str, Any]:
     ) as timer:
         scalar = coder.encode_trace_scalar(trace)
     scalar_s = timer.seconds
+    scalar_ops = coder.ops.as_dict() if hasattr(coder, "ops") else None
 
     coder.reset()
     with _phase_timer(
@@ -168,6 +178,8 @@ def _time_kernel(name: str, coder: Any, trace: BusTrace) -> Dict[str, Any]:
     fast_s = timer.seconds
 
     identical = bool(np.array_equal(scalar.values, fast.values))
+    if scalar_ops is not None:  # an audited coder: the counts must agree too
+        identical = identical and coder.ops.as_dict() == scalar_ops
     fast_s_safe = max(fast_s, 1e-9)  # keep the report finite (valid JSON)
     return {
         "coder": name,

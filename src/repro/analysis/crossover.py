@@ -13,7 +13,11 @@ encoder's design and is charged the same energy, per Section 5.4.
 
 Everything expensive (encoding the trace, counting activity, auditing
 the hardware ops) happens once per :class:`CrossoverAnalysis`, so
-sweeping lengths and bisecting for the crossover are cheap.
+sweeping lengths and bisecting for the crossover are cheap.  None of it
+depends on the technology node, so a caller pricing one trace on many
+nodes (Table 3) passes it in: the audit and coded trace once per
+``(trace, size)``, the raw activity once per trace and the coded
+activity once per coded trace.
 """
 
 from __future__ import annotations
@@ -86,9 +90,12 @@ class CrossoverAnalysis:
     #: computed here, exactly as before.
     ops: Optional[OperationCounts] = None
     coded: Optional[BusTrace] = None
+    #: Optional precomputed :func:`count_activity` of ``trace`` and of
+    #: ``coded``; technology-independent like the artifacts above, so
+    #: Table 3 counts each once instead of once per node.
+    raw_activity: Optional[ActivityCounts] = field(default=None, repr=False)
+    coded_activity: Optional[ActivityCounts] = field(default=None, repr=False)
 
-    _base_counts: ActivityCounts = field(init=False, repr=False)
-    _coded_counts: ActivityCounts = field(init=False, repr=False)
     _transcoder_per_cycle: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -104,8 +111,10 @@ class CrossoverAnalysis:
                 circuit.energy(self.ops) / len(self.trace)
                 + circuit.leakage_energy_per_cycle
             )
-        self._base_counts = count_activity(self.trace)
-        self._coded_counts = count_activity(self.coded)
+        if self.raw_activity is None:
+            self.raw_activity = count_activity(self.trace)
+        if self.coded_activity is None:
+            self.coded_activity = count_activity(self.coded)
         self._transcoder_per_cycle = encoder_epc * (1.0 + self.decoder_factor)
 
     # -- energies ---------------------------------------------------------
@@ -123,7 +132,7 @@ class CrossoverAnalysis:
     def wire_energy(self, length_mm: float, coded: bool) -> float:
         """Wire energy (J) at ``length_mm`` for the raw or coded bus."""
         model = BusEnergyModel(self.technology, length_mm, self.buffered)
-        counts = self._coded_counts if coded else self._base_counts
+        counts = self.coded_activity if coded else self.raw_activity
         return model.energy_from_counts(counts)
 
     def ratio(self, length_mm: float) -> float:

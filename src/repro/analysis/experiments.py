@@ -34,7 +34,7 @@ import numpy as np
 
 from .. import obs
 from ..coding.base import Transcoder
-from ..energy.accounting import normalized_energy_removed
+from ..energy.accounting import count_activity, normalized_energy_removed
 from ..hardware.cam import LOW_BITS
 from ..hardware.operations import Op, OperationCounts
 from ..traces.cache import get_default_cache
@@ -355,8 +355,9 @@ def crossover_table(
     """Regenerate Table 3: median crossover lengths by technology,
     dictionary size and benchmark class.
 
-    The expensive work — simulating each benchmark and the
-    hardware-audited window encode per ``(workload, size)`` — is
+    The expensive work — simulating each benchmark, the
+    hardware-audited window encode per ``(workload, size)`` and the
+    activity counts of every raw and coded trace — is
     technology-independent, so it runs once (optionally fanned across
     ``jobs`` workers, persisted by the trace cache) and every
     technology's cells are derived from it.  Output order and values
@@ -381,6 +382,14 @@ def crossover_table(
                 outcome.value if outcome.ok else _reraise_strict(_artifact, outcome)
             )
 
+    # Activity counts are technology-independent too: one pass per raw
+    # trace and per coded trace, shared by every node's analyses.
+    with obs.span("table3.activity", traces=len(all_names) + len(artifact_cells)):
+        raw_activity = {name: count_activity(traces[name]) for name in all_names}
+        coded_activity = {
+            cell: count_activity(coded) for cell, (_, coded) in artifacts.items()
+        }
+
     cells: List[CrossoverCell] = []
     with obs.span("table3.assemble", technologies=len(list(technologies))):
         for tech in technologies:
@@ -392,6 +401,8 @@ def crossover_table(
                         size,
                         ops=artifacts[(name, size)][0],
                         coded=artifacts[(name, size)][1],
+                        raw_activity=raw_activity[name],
+                        coded_activity=coded_activity[(name, size)],
                     )
                     for name in all_names
                 }

@@ -65,9 +65,11 @@ class Transcoder(ABC):
     # ``_encode_chunk_fast``/``_decode_chunk_fast``, which advances the
     # *live* FSM over a 1-D array of cycles and leaves it exactly where
     # the per-cycle loop would.  The base versions below ARE that loop,
-    # so a family without a vectorized kernel (the dictionary coders,
-    # the hardware audit) is correct by definition.  Every public
-    # entry point routes through the pair:
+    # so a family without a kernel of its own (the context, stride and
+    # FCM predictors, the related-work coders, the context design's
+    # hardware audit) is correct by definition.  The window coder's
+    # kernel also yields the window hardware audit's operation counts.
+    # Every public entry point routes through the pair:
     #
     # * ``encode_trace``/``decode_trace``: width check + ``reset()`` +
     #   kernel + ``BusTrace`` wrap (``coder.encodes``/``decodes`` metrics);

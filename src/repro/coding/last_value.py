@@ -80,11 +80,6 @@ class LastValueTranscoder(PredictiveTranscoder):
 
     # -- vectorized chunk kernels -----------------------------------------
 
-    def _fast_path_ok(self) -> bool:
-        # The kernel models the default configuration; ablation modes
-        # fall back to the scalar loop.
-        return self.silent_last and not self.edge_control
-
     def _encode_chunk_fast(self, values: np.ndarray) -> np.ndarray:
         if not self._fast_path_ok():
             return super()._encode_chunk_fast(values)

@@ -128,6 +128,11 @@ class PredictiveTranscoder(Transcoder):
         ctrl = ((state >> (self.input_width + 1)) << 1) | (state & 1)
         return data, ctrl
 
+    def _fast_path_ok(self) -> bool:
+        """Whether a family's chunk kernel applies: the kernels model the
+        default configuration; ablation modes fall back to the base loop."""
+        return self.silent_last and not self.edge_control
+
     def _ctrl_cost(self, ctrl: int) -> int:
         return bin(self._ctrl_state ^ ctrl).count("1")
 

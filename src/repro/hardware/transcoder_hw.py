@@ -9,6 +9,13 @@ Feeding the counts to :class:`repro.hardware.circuits.TranscoderCircuit`
 yields the encoder's energy for a given trace, exactly as the paper
 multiplies operation counts by per-operation SPICE measurements.
 
+The window design's counts come from its chunk kernel: the encode loop
+tallies the CAM probes, low-bit matches and misses as it goes, and the
+rest follows from the cycle count and the coded states, with one
+``ops.add`` per operation per chunk.  Its per-cycle
+:meth:`HardwareWindowTranscoder.encode_value` stays as the audit
+oracle (``encode_trace_scalar`` and the ablation configurations run it).
+
 The decoder of each design contains the same dictionary and match
 logic, so its energy is modelled as equal to the encoder's (the paper
 notes encoder and decoder share the design and nearly the area).
@@ -18,6 +25,9 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Optional
 
+import numpy as np
+
+from .._bitops import popcount
 from ..traces.trace import BusTrace
 from ..wires.technology import Technology
 from ..coding.context import ContextTranscoder, VALUE_BASED
@@ -62,6 +72,31 @@ class HardwareWindowTranscoder(WindowTranscoder):
     def reset(self) -> None:
         super().reset()
         self.ops = OperationCounts()
+
+    def _encode_chunk_fast(self, values: np.ndarray) -> np.ndarray:
+        if not self._fast_path_ok():
+            return super()._encode_chunk_fast(values)
+        start = self._pack(self._data_state, self._ctrl_state)
+        states, probes, low_matches, misses = self._encode_window_chunk(
+            values, self._low_bits_mask
+        )
+        cycles = len(states)
+        drive = 0
+        if cycles:
+            previous = np.empty_like(states)
+            previous[0] = start
+            previous[1:] = states[:-1]
+            drive = int(popcount(states ^ previous).sum())
+        for op, count in (
+            (Op.MATCH_LOW, probes),
+            (Op.MATCH_FULL, low_matches),
+            (Op.SHIFT, misses),
+            (Op.LAST_TRACK, cycles),
+            (Op.OUTPUT_DRIVE, drive),
+            (Op.CYCLE, cycles),
+        ):
+            self.ops.add(op, count)
+        return states
 
     def encode_value(self, value: int) -> int:
         pred = self.predictor

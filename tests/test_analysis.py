@@ -129,6 +129,26 @@ class TestSweeps:
         assert suites == {"SPECint", "SPECfp", "ALL"}
         assert all(c.median_mm > 0 for c in cells)
 
+    def test_crossover_table_counts_activity_once_per_trace(self, monkeypatch):
+        from repro.analysis import crossover, experiments
+        from repro.workloads.programs import FP_WORKLOADS, INT_WORKLOADS
+
+        calls = []
+        real = experiments.count_activity
+
+        def counting(trace):
+            calls.append(trace.width)
+            return real(trace)
+
+        monkeypatch.setattr(experiments, "count_activity", counting)
+        monkeypatch.setattr(crossover, "count_activity", counting)
+        crossover_table([TECH_013, TECH_007], entry_sizes=(8, 16), cycles=FAST)
+        kernels = len(INT_WORKLOADS) + len(FP_WORKLOADS)
+        # Once per raw trace and once per (trace, size) coded trace, not
+        # once per technology.
+        assert calls.count(32) == kernels
+        assert calls.count(34) == 2 * kernels
+
 
 class TestReporting:
     def test_format_table_alignment(self):

@@ -84,6 +84,7 @@ def test_table3_exports_chrome_trace_and_jsonl(tmp_path, capsys, clean_obs, fres
     names = {e["name"] for e in events}
     assert "cli.table3" in names  # the root span
     assert "table3.cell" in names  # per-cell spans (possibly from workers)
+    assert "table3.activity" in names  # the once-per-trace activity pass
     for event in events:
         assert event["ph"] == "X"
         assert set(event) == {"name", "ph", "ts", "dur", "pid", "tid", "cat", "args"}

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.hardware import (
+    LOW_BITS,
     HardwareContextTranscoder,
     HardwareWindowTranscoder,
     Op,
@@ -13,7 +15,16 @@ from repro.hardware import (
 )
 from repro.traces import BusTrace
 from repro.wires import TECH_007, TECH_013
-from repro.workloads import locality_trace
+from repro.workloads import locality_trace, suite_traces
+
+from .test_vectorized_kernels import (
+    LAST_ABLATIONS,
+    POWER_ON_SIZES,
+    POWER_ON_STREAM,
+    carve,
+    chunk_sizes,
+    chunk_streams,
+)
 
 
 class TestHardwareWindow:
@@ -64,6 +75,71 @@ class TestHardwareWindow:
         hw.encode_trace(local_trace)
         hw.reset()
         assert hw.ops.total == 0
+
+
+def audit_state(hw):
+    """The audited encoder's ops and FSM (predictor included)."""
+    pred = hw.predictor
+    return (
+        hw.ops.as_dict(),
+        hw._data_state,
+        hw._ctrl_state,
+        (list(pred._slots), dict(pred._index), pred._head, pred.last),
+    )
+
+
+class TestDerivedWindowAudit:
+    """The chunk kernel's derived operation counts equal the per-cycle
+    audit of :meth:`HardwareWindowTranscoder.encode_value`."""
+
+    @pytest.mark.parametrize("size", [1, 2, 8, 16])
+    @pytest.mark.parametrize("low_bits", [1, LOW_BITS, 32])
+    @settings(deadline=None, max_examples=25)
+    @given(values=chunk_streams, sizes=chunk_sizes)
+    @example(values=POWER_ON_STREAM, sizes=POWER_ON_SIZES)
+    def test_chunked_audit_matches_per_cycle_oracle(self, size, low_bits, values, sizes):
+        trace = BusTrace.from_values(values, width=32)
+        oracle = HardwareWindowTranscoder(TECH_013, size, 32, low_bits=low_bits)
+        expected = oracle.encode_trace_scalar(trace)
+        hw = HardwareWindowTranscoder(TECH_013, size, 32, low_bits=low_bits)
+        # ops accumulate across chunks: no reset between them.
+        parts = [hw.encode_chunk(chunk) for chunk in carve(trace.values, sizes)]
+        assert np.array_equal(np.concatenate(parts), expected.values)
+        assert audit_state(hw) == audit_state(oracle)
+
+    @pytest.mark.parametrize("silent_last, edge_control", LAST_ABLATIONS)
+    @settings(deadline=None, max_examples=15)
+    @given(values=chunk_streams, sizes=chunk_sizes)
+    def test_ablations_audit_through_the_per_cycle_loop(
+        self, silent_last, edge_control, values, sizes
+    ):
+        def make():
+            hw = HardwareWindowTranscoder(TECH_013, 8, 32)
+            hw.silent_last = silent_last
+            hw.edge_control = edge_control
+            assert not hw._fast_path_ok()
+            return hw
+
+        trace = BusTrace.from_values(values, width=32)
+        oracle = make()
+        expected = oracle.encode_trace_scalar(trace)
+        hw = make()
+        parts = [hw.encode_chunk(chunk) for chunk in carve(trace.values, sizes)]
+        assert np.array_equal(np.concatenate(parts), expected.values)
+        assert audit_state(hw) == audit_state(oracle)
+
+    @pytest.mark.parametrize("size", [8, 16])
+    def test_suite_audits_match_per_cycle_oracle(self, size):
+        """Every Table 3 audit input: all suite kernels, 2000 cycles."""
+        traces = suite_traces("register", None, 2000)
+        assert len(traces) == 17
+        for name, trace in traces.items():
+            oracle = HardwareWindowTranscoder(TECH_013, size, trace.width)
+            hw = HardwareWindowTranscoder(TECH_013, size, trace.width)
+            expected = oracle.encode_trace_scalar(trace)
+            got = hw.encode_trace(trace)
+            assert np.array_equal(got.values, expected.values), name
+            assert hw.ops.as_dict() == oracle.ops.as_dict(), name
 
 
 class TestHardwareContext:

@@ -1,7 +1,8 @@
 """Differential tests: vectorized chunk kernels vs the scalar FSM oracle.
 
 Every coder with a fast path (`TransitionCoder`, `InversionTranscoder`,
-`LastValueTranscoder`) must produce *bit-identical* encodes and decodes
+`LastValueTranscoder`, `WindowTranscoder`) must produce *bit-identical*
+encodes and decodes
 to its per-cycle loop on every input — suite traces, synthetic traces,
 adversarial hypothesis streams, empty traces, any chunking — and must
 leave the FSM in the same state the scalar loop would, so per-cycle
@@ -18,9 +19,14 @@ from repro._bitops import (
     pair_coupling_counts,
     popcount,
 )
-from repro.coding import InversionTranscoder, LastValueTranscoder, TransitionCoder
+from repro.coding import (
+    InversionTranscoder,
+    LastValueTranscoder,
+    TransitionCoder,
+    WindowTranscoder,
+)
 from repro.coding.errors import DesyncError
-from repro.coding.predictive import CTRL_RAW
+from repro.coding.predictive import CTRL_CODE, CTRL_RAW
 from repro.traces import BusTrace
 from repro.workloads import locality_trace, random_trace, suite_traces
 
@@ -33,6 +39,10 @@ CODER_FACTORIES = {
     "invert-k2": lambda w=WIDTH: InversionTranscoder(w, 2),
     "invert-lam0": lambda w=WIDTH: InversionTranscoder(w, 1, assumed_lambda=0.0),
     "invert-lam2.5": lambda w=WIDTH: InversionTranscoder(w, 2, assumed_lambda=2.5),
+    "window1": lambda w=WIDTH: WindowTranscoder(1, w),
+    "window2": lambda w=WIDTH: WindowTranscoder(2, w),
+    "window8": lambda w=WIDTH: WindowTranscoder(8, w),
+    "window16": lambda w=WIDTH: WindowTranscoder(16, w),
 }
 
 
@@ -196,12 +206,17 @@ def assert_chunked_matches_scalar(make, values, sizes):
 #: state each straddle a boundary.
 BOUNDARY_STREAM = [0xFFFFFFFF, 1, 1, 0, 0xAAAAAAAA, 0xAAAAAAAA, 0x55555555]
 BOUNDARY_SIZES = [1, 0, 1, 1, 1, 1, 0, 1, 1]
+#: Starts at the power-on LAST value 0: a silent LAST hit that a window
+#: still inserts, in a 1-word first chunk.
+POWER_ON_STREAM = [0, 0, 5, 0, 5, 5, 9, 0]
+POWER_ON_SIZES = [1, 0, 2, 1]
 
 
 @pytest.mark.parametrize("coder_name", sorted(CODER_FACTORIES))
 @settings(deadline=None, max_examples=60)
 @given(values=chunk_streams, sizes=chunk_sizes)
 @example(values=BOUNDARY_STREAM, sizes=BOUNDARY_SIZES)
+@example(values=POWER_ON_STREAM, sizes=POWER_ON_SIZES)
 def test_chunked_kernels_match_scalar_oracle(coder_name, values, sizes):
     assert_chunked_matches_scalar(CODER_FACTORIES[coder_name], values, sizes)
 
@@ -242,6 +257,74 @@ def test_last_value_malformed_second_chunk_desyncs_like_scalar(bad_ctrl):
     assert str(chunk_exc.value) == str(scalar_exc.value)
     assert chunk_exc.value.cycle == scalar_exc.value.cycle == bad
     assert chunk_exc.value.coder == scalar_exc.value.coder
+
+
+@pytest.mark.parametrize("size", [1, 8])
+@pytest.mark.parametrize("silent_last, edge_control", LAST_ABLATIONS)
+@settings(deadline=None, max_examples=20)
+@given(values=chunk_streams, sizes=chunk_sizes)
+@example(values=POWER_ON_STREAM, sizes=POWER_ON_SIZES)
+def test_window_ablation_chunks_take_the_fallback(
+    size, silent_last, edge_control, values, sizes
+):
+    def make(width):
+        coder = WindowTranscoder(size, width)
+        coder.silent_last = silent_last
+        coder.edge_control = edge_control
+        assert not coder._fast_path_ok()
+        return coder
+
+    assert_chunked_matches_scalar(make, values, sizes)
+
+
+def _window8_states():
+    """A well-formed window8 stream over four values, so four slots stay
+    empty; cut into 20-word chunks by the tests below, its second chunk
+    inserts two of them before the corrupted cycle 25."""
+    values = [0x10, 0x20] * 10 + [0x30, 0x40, 0x30, 0x10, 0x40]
+    values += [0x10, 0x20, 0x30, 0x40, 0x40] * 7
+    trace = BusTrace.from_values(values, width=WIDTH)
+    return WindowTranscoder(8, WIDTH).encode_trace(trace).values.copy()
+
+
+def _code_state(states, bad, codeword, ctrl=CTRL_CODE):
+    """Overwrite cycle ``bad`` with ``codeword`` sent against the bus."""
+    data = (int(states[bad - 1]) & 0xFFFFFFFF) ^ codeword
+    states[bad] = (ctrl << WIDTH) | data
+
+
+WINDOW8_CODEWORDS = WindowTranscoder(8, WIDTH)._codewords
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda s, bad: _code_state(s, bad, 0b11), "unassigned codeword"),
+        (lambda s, bad: _code_state(s, bad, WINDOW8_CODEWORDS[6]), "is empty"),
+        (lambda s, bad: _code_state(s, bad, 0x5, ctrl=0b10), "invalid control"),
+    ],
+    ids=["unassigned-codeword", "empty-slot", "bad-control"],
+)
+def test_window_decode_desync_matches_scalar(corrupt, message):
+    """Every decode anomaly in the second chunk discards the kernel's
+    work and replays the scalar loop from the live state: same message,
+    coder and cycle, and the same FSM left behind."""
+    states = _window8_states()
+    bad = 25
+    corrupt(states, bad)
+    phys = BusTrace(states, WIDTH + 2)
+    scalar = WindowTranscoder(8, WIDTH)
+    with pytest.raises(DesyncError) as scalar_exc:
+        scalar.decode_trace_scalar(phys)
+    decoder = WindowTranscoder(8, WIDTH)
+    decoder.decode_chunk(states[:20])
+    with pytest.raises(DesyncError) as chunk_exc:
+        decoder.decode_chunk(states[20:40])
+    assert message in str(scalar_exc.value)
+    assert str(chunk_exc.value) == str(scalar_exc.value)
+    assert chunk_exc.value.cycle == scalar_exc.value.cycle == bad
+    assert chunk_exc.value.coder == scalar_exc.value.coder == "WindowTranscoder"
+    assert fsm_fields(decoder) == fsm_fields(scalar)
 
 
 @settings(deadline=None, max_examples=60)
